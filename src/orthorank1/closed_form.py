@@ -37,9 +37,6 @@ PARALLEL_TOL = 1e-12
 # relative slack granted to |c| <= t before declaring the scalars inconsistent
 CAUCHY_SCHWARZ_SLACK = 1e-12
 
-# MGS candidates closer than this to the span already held are skipped
-COMPLEMENT_SKIP_TOL = 1e-8
-
 BRANCH_ZERO_VECTOR = "zero_vector"
 BRANCH_PARALLEL = "parallel"
 BRANCH_NON_PARALLEL = "non_parallel"
@@ -235,55 +232,42 @@ def special_eigenpairs(
     )
 
 
-def _complement_basis(anchors: np.ndarray, count: int) -> np.ndarray:
-    """Orthonormal complement of the anchor columns by deterministic MGS.
+def _complement_basis(
+    anchors: np.ndarray, count: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Orthonormal complement of the k orthonormal anchor columns, Householder.
 
-    Standard basis seeds in index order, two projection passes each,
-    near-dependent candidates skipped.  The retry threshold is a safety net;
-    the first sweep fills every slot unless several seeds sit almost inside
-    the anchor span.
+    Columns k .. k + count of the anchors' complete Householder Q factor
+    (Golub & Van Loan, Matrix Computations, 5.1), deterministic with no seeds
+    to skip and no retry.  Q = I - W T W^T in compact WY form, so the block is
+    one rank-k update of identity columns, written into `out` when given: no
+    n x n Q is formed.
     """
-    n = anchors.shape[0]
-    held = anchors.shape[1]
-    if count <= 0:
-        return np.empty((n, 0))
-    basis = np.empty((n, held + count))
-    basis[:, :held] = anchors
-    k = held
-    for threshold in (COMPLEMENT_SKIP_TOL, 1e-13):
-        for i in range(n):
-            if k == held + count:
-                break
-            w = np.zeros(n)
-            w[i] = 1.0
-            current = basis[:, :k]
-            w -= current @ (current.T @ w)
-            w -= current @ (current.T @ w)
-            length = float(np.linalg.norm(w))
-            if length > threshold:
-                basis[:, k] = w / length
-                k += 1
-        if k == held + count:
-            break
-    if k < held + count:
-        raise RuntimeError("complement construction ran out of usable seeds")
-    return basis[:, held:]
-
-
-def _unit_columns(w: np.ndarray) -> np.ndarray:
-    if w.shape[1] == 0:
-        return w
-    return w / np.linalg.norm(w, axis=0)
+    n, k = anchors.shape
+    h, tau = np.linalg.qr(anchors, mode="raw")
+    w = np.tril(h.T, -1)  # reflector vectors, below their unit leading entries
+    np.fill_diagonal(w, 1.0)
+    z = tau[:, None] * w[k : k + count].T  # T W^T on the kept rows
+    if k == 2:
+        z[0] -= tau[0] * float(w[:, 0] @ w[:, 1]) * z[1]
+    if out is None:
+        out = np.empty((n, count))
+    np.matmul(-w, z, out=out)
+    diag = np.arange(count)
+    out[k + diag, diag] += 1.0
+    return out
 
 
 def full_svd(m: OrthogonalPlusRankOne, parallel_tol: float = PARALLEL_TOL) -> FullSvd:
     """A = U diag(sigma) V^T with sigma sorted nonincreasing.
 
-    V holds the special plane directions plus an MGS complement (singular
-    value 1 each).  U columns come from applying B, except that the small
-    singular direction is built by rotating u1 within the invariant plane:
-    dividing B v2 by a tiny sigma2 would amplify roundoff and lose
-    orthogonality precisely on near-singular instances.
+    V holds the 1 (parallel) or 2 (non-parallel) special plane directions
+    plus a Householder complement with singular value 1 each.  B = I + x y^T
+    is the identity on span{x, y}^perp, so the complement columns of U before
+    the final Q are those of V.  In the plane, the small singular direction
+    is built by rotating u1 within the invariant plane: dividing B v2 by a
+    tiny sigma2 would amplify roundoff and lose orthogonality precisely on
+    near-singular instances.
     """
     n = m.dim
     scal = invariant_scalars(m)
@@ -295,64 +279,42 @@ def full_svd(m: OrthogonalPlusRankOne, parallel_tol: float = PARALLEL_TOL) -> Fu
     rej = _rejection(pair)
     rejection_norm = float(np.linalg.norm(rej))
 
-    def apply_b(cols: np.ndarray) -> np.ndarray:
-        # B w = w + x (y^T w), columnwise
-        return cols + np.outer(x, y @ cols)
-
     if rejection_norm <= parallel_tol * pair.t:
-        sig = abs(1.0 + pair.c)
-        v1 = x
-        u1 = float(_sign_term(pair.c)) * x
-        units_v = _complement_basis(x[:, None], n - 1)
-        units_u = _unit_columns(apply_b(units_v))
-        big_first = sig >= 1.0
-        v_mat = np.empty((n, n))
-        u_mat = np.empty((n, n))
-        sigma = np.empty(n)
-        if big_first:
-            v_mat[:, 0] = v1
-            u_mat[:, 0] = u1
-            v_mat[:, 1:] = units_v
-            u_mat[:, 1:] = units_u
-            sigma[0] = sig
-            sigma[1:] = 1.0
-        else:
-            v_mat[:, : n - 1] = units_v
-            u_mat[:, : n - 1] = units_u
-            v_mat[:, n - 1] = v1
-            u_mat[:, n - 1] = u1
-            sigma[: n - 1] = 1.0
-            sigma[n - 1] = sig
+        plane_v = x[:, None]
+        plane_u = float(_sign_term(pair.c)) * plane_v
+        plane_sigma = [abs(1.0 + pair.c)]
     else:
         rhat = rej / rejection_norm
         v1, v2, _, _ = _plane_vectors(pair, rhat)
         lam1, lam2 = special_eigenvalues(pair.c, pair.t)
-        sig1, sig2 = math.sqrt(lam1), math.sqrt(lam2)
         w1 = x * float(y @ v1) + v1
         u1 = w1 / float(np.linalg.norm(w1))
-        p = float(x @ u1)
-        q = float(rhat @ u1)
-        u2 = q * x - p * rhat
+        u2 = float(rhat @ u1) * x - float(x @ u1) * rhat
         u2 /= float(np.linalg.norm(u2))
         w2 = x * float(y @ v2) + v2
         if float(w2 @ u2) < 0.0:
             u2 = -u2
-        units_v = _complement_basis(np.column_stack((v1, v2)), n - 2)
-        units_u = _unit_columns(apply_b(units_v))
-        v_mat = np.empty((n, n))
-        u_mat = np.empty((n, n))
-        sigma = np.empty(n)
-        v_mat[:, 0] = v1
-        u_mat[:, 0] = u1
-        v_mat[:, 1 : n - 1] = units_v
-        u_mat[:, 1 : n - 1] = units_u
-        v_mat[:, n - 1] = v2
-        u_mat[:, n - 1] = u2
-        sigma[0] = sig1
-        sigma[1 : n - 1] = 1.0
-        sigma[n - 1] = sig2
-    if m.q is not None:
-        u_mat = m.q.matrix @ u_mat
+        plane_v = np.column_stack((v1, v2))
+        plane_u = np.column_stack((u1, u2))
+        plane_sigma = [math.sqrt(lam1), math.sqrt(lam2)]
+
+    # plane values at or above 1 lead the unit block, the rest trail it; V and
+    # U are the only n x n arrays allocated
+    k = len(plane_sigma)
+    lead = sum(1 for s in plane_sigma if s >= 1.0)
+    trail = n - k + lead
+    v_mat = np.empty((n, n))
+    v_mat[:, :lead] = plane_v[:, :lead]
+    v_mat[:, trail:] = plane_v[:, lead:]
+    _complement_basis(plane_v, n - k, out=v_mat[:, lead:trail])
+    if m.q is None:
+        u_mat = v_mat.copy()
+    else:
+        u_mat = m.q.matrix @ v_mat
+        plane_u = m.q.matrix @ plane_u
+    u_mat[:, :lead] = plane_u[:, :lead]
+    u_mat[:, trail:] = plane_u[:, lead:]
+    sigma = np.concatenate((plane_sigma[:lead], np.ones(n - k), plane_sigma[lead:]))
     return FullSvd(u_mat, sigma, v_mat)
 
 

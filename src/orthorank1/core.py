@@ -8,7 +8,7 @@ harness) consumes the validated containers defined here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,8 +68,9 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
 
 def orthogonality_defect(q: np.ndarray) -> float:
     """max |Q^T Q - I|, the entrywise deviation from orthonormal columns."""
-    n = q.shape[0]
-    return float(np.abs(q.T @ q - np.eye(n)).max())
+    gram = q.T @ q
+    gram.reshape(-1)[:: gram.shape[0] + 1] -= 1.0  # in place: no n x n temporaries
+    return float(np.abs(gram, out=gram).max())
 
 
 @dataclass(frozen=True)
@@ -98,33 +99,46 @@ def validate_orthogonal(q, tol: float = ORTHOGONALITY_TOL) -> OrthogonalMatrix:
 
 @dataclass(frozen=True)
 class OrthogonalPlusRankOne:
-    """A = Q + a b^T.  q is None for the symbolic identity (A = I + a b^T)."""
+    """A = Q + a b^T.  q is None for the symbolic identity (A = I + a b^T).
+
+    a and b are stored as read-only copies, so later writes to the caller's
+    arrays cannot change the instance.  Q^T a, the one matvec every closed-form
+    route needs, is computed here once and shared by all of them.  Q itself is
+    held by reference, not copied: writing to q.matrix afterwards leaves the
+    stored Q^T a describing the old Q.
+    """
 
     q: OrthogonalMatrix | None
     a: np.ndarray
     b: np.ndarray
+    _qta: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = as_vector(self.a, "a")
-        b = as_vector(self.b, "b")
+        a = _read_only(as_vector(np.array(self.a, dtype=float), "a"))
+        b = _read_only(as_vector(np.array(self.b, dtype=float), "b"))
         if a.shape != b.shape:
             raise ValueError(f"a and b must share a length, got {a.shape} vs {b.shape}")
         if self.q is not None and self.q.dim != a.shape[0]:
             raise ValueError(
                 f"q is {self.q.dim}x{self.q.dim} but vectors have length {a.shape[0]}"
             )
+        qta = a if self.q is None else _read_only(self.q.matrix.T @ a)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "_qta", qta)
 
     @property
     def dim(self) -> int:
         return self.a.shape[0]
 
     def q_transpose_a(self) -> np.ndarray:
-        """Q^T a; one matvec, or a itself for the symbolic identity."""
-        if self.q is None:
-            return self.a
-        return self.q.matrix.T @ self.a
+        """Q^T a (read-only), computed at construction; a itself when Q = I."""
+        return self._qta
+
+
+def _read_only(v: np.ndarray) -> np.ndarray:
+    v.flags.writeable = False
+    return v
 
 
 def identity_plus_outer(a, b) -> OrthogonalPlusRankOne:
@@ -145,22 +159,21 @@ class InvariantScalars:
 
 
 def invariant_scalars(m: OrthogonalPlusRankOne) -> InvariantScalars:
-    """Compute (alpha, beta, gamma) with one matvec; gamma = a^T b when Q = I."""
+    """(alpha, beta, gamma) with gamma = (Q^T a)^T b from the stored Q^T a; no matvec."""
     alpha = float(np.linalg.norm(m.a))
     beta = float(np.linalg.norm(m.b))
-    if m.q is None:
-        gamma = float(m.a @ m.b)
-    else:
-        gamma = float(m.a @ (m.q.matrix @ m.b))
+    gamma = float(m.q_transpose_a() @ m.b)
     return InvariantScalars(alpha, beta, gamma)
 
 
 def materialize(m: OrthogonalPlusRankOne) -> np.ndarray:
     """Dense A = Q + a b^T."""
-    n = m.dim
-    base = np.eye(n) if m.q is None else m.q.matrix.copy()
-    base += np.outer(m.a, m.b)
-    return base
+    dense = np.outer(m.a, m.b)  # the only n x n allocation
+    if m.q is None:
+        dense.reshape(-1)[:: m.dim + 1] += 1.0
+    else:
+        dense += m.q.matrix
+    return dense
 
 
 @dataclass(frozen=True)

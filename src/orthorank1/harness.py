@@ -459,10 +459,11 @@ def bench_speedups(rows: list[BenchRow]) -> dict[int, float]:
 def run_bench(
     dims=(64,), trials: int = 100, seed: int = 0, agreement_checks: int = 3
 ) -> list[BenchRow]:
-    """Median per-instance wall time of spectrum, full_svd, and the oracle.
+    """Median per-instance wall time of spectrum, full_svd, LAPACK and the oracle.
 
-    Instances are pre-sampled and pre-materialized, so each timing covers the
-    method alone.  Before timing, the closed form and the oracle must agree
+    The `lapack_svd` row is `np.linalg.svd` with vectors on the dense matrix,
+    the general-purpose route `full_svd` replaces.  Instances are pre-sampled
+    and pre-materialized, so each timing covers the method alone.  Before timing, the closed form and the oracle must agree
     on a few instances; disagreement aborts the benchmark.
     """
     if not dims:
@@ -493,6 +494,7 @@ def run_bench(
         for method, fn, inputs in (
             ("spectrum", spectrum, instances),
             ("full_svd", full_svd, instances),
+            ("lapack_svd", np.linalg.svd, denses),
             ("jacobi", jacobi_svd, denses),
         ):
             samples = []

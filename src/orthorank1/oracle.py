@@ -71,13 +71,22 @@ def standard_gaussian(rng: np.random.Generator, count: int) -> np.ndarray:
     if count <= 0:
         return np.empty(0)
     half = (count + 1) // 2
-    u1 = 1.0 - rng.random(half)  # in (0, 1], keeps the log finite
-    u2 = rng.random(half)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = (2.0 * math.pi) * u2
+    # computed in place, one scratch buffer: a Haar sample at n = 1024 draws
+    # 8 MB of normals, and each temporary would add 4 MB to the peak
+    radius = rng.random(half)
+    np.subtract(1.0, radius, out=radius)  # in (0, 1], keeps the log finite
+    angle = rng.random(half)
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle *= 2.0 * math.pi
     z = np.empty(2 * half)
-    z[0::2] = radius * np.cos(angle)
-    z[1::2] = radius * np.sin(angle)
+    scratch = np.cos(angle)
+    scratch *= radius
+    z[0::2] = scratch
+    np.sin(angle, out=scratch)
+    scratch *= radius
+    z[1::2] = scratch
     return z[:count]
 
 
@@ -196,8 +205,8 @@ def haar_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     g = standard_gaussian(rng, n * n).reshape(n, n)
     q, r = np.linalg.qr(g)
     signs = np.sign(np.diag(r))
-    signs = np.where(signs == 0.0, 1.0, signs)
-    return q * signs
+    q *= np.where(signs == 0.0, 1.0, signs)
+    return q
 
 
 def random_orthogonal(n: int, seed) -> OrthogonalMatrix:

@@ -1,6 +1,7 @@
 """Closed-form spectrum and SVD: scalar formulas, branches, vector assembly."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -335,6 +336,73 @@ def test_complement_basis_skips_dependent_seed():
     basis = _complement_basis(anchor[:, None], 2)
     joined = np.column_stack((anchor[:, None], basis))
     assert orthogonality_defect(joined) <= 1e-12
+
+
+def test_complement_basis_two_anchors():
+    # both anchors sit almost inside span{e1, e2}
+    anchors = np.linalg.qr(
+        np.array([[1.0, 0.0], [1e-9, 1.0], [0.0, 1e-10], [0.0, 0.0], [0.0, 0.0]])
+    )[0]
+    basis = _complement_basis(anchors, 3)
+    assert basis.shape == (5, 3)
+    joined = np.column_stack((anchors, basis))
+    assert orthogonality_defect(joined) <= 1e-12
+
+
+def test_complement_basis_is_the_complete_householder_factor():
+    # the compact WY block equals the trailing columns of LAPACK's complete Q,
+    # and writes into a strided view of a larger matrix without copying
+    rng = make_rng(71)
+    for k in (1, 2):
+        anchors = np.linalg.qr(standard_gaussian(rng, 7 * k).reshape(7, k))[0]
+        full_q = np.linalg.qr(anchors, mode="complete")[0]
+        host = np.zeros((7, 9))
+        view = host[:, 1 : 8 - k]
+        assert _complement_basis(anchors, 7 - k, out=view) is view
+        assert np.abs(view - full_q[:, k:]).max() <= 1e-14
+        assert np.abs(_complement_basis(anchors, 7 - k) - view).max() == 0.0
+        assert not host[:, 0].any() and not host[:, 8 - k :].any()
+
+
+def test_full_svd_allocates_only_u_and_v():
+    # the n x n memory of one call is its two outputs: no complete Q, no copy
+    # of U before the product with Q
+    n = 256
+    for mode in ("gaussian", "parallel_pair"):
+        m = sample_instance(InstanceDistribution(n, vector_mode=mode), (89, 0))
+        tracemalloc.start()
+        try:
+            svd = full_svd(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert svd.u.shape == svd.v.shape == (n, n)
+        assert peak <= 2.5 * n * n * 8  # a third n x n array would make it 3
+
+
+def test_full_svd_unit_columns_of_u_are_q_times_v():
+    # B = I + x y^T is the identity off span{x, y}: U's unit block is Q V's,
+    # free of the eps |a| |b| roundoff that applying B to it would add
+    for index, mode in enumerate(["gaussian", "parallel_pair", "near_parallel"]):
+        dist = InstanceDistribution(8, vector_mode=mode, scale_range=(1e2, 1e3))
+        m = sample_instance(dist, (83, index))
+        svd = full_svd(m)
+        units = np.flatnonzero(svd.sigma == 1.0)
+        assert units.size == spectrum(m).unit_multiplicity
+        assert np.abs(svd.u[:, units] - m.q.matrix @ svd.v[:, units]).max() <= 1e-14
+
+
+def test_instance_ignores_later_writes_to_caller_arrays():
+    q = random_orthogonal(4, 6)
+    a = np.array([1.0, -2.0, 0.5, 3.0])
+    b = np.array([0.25, 1.0, -1.0, 2.0])
+    m = OrthogonalPlusRankOne(q, a, b)
+    before = spectrum(m)
+    a[:] = 0.0
+    b *= 10.0
+    assert m.a.tolist() == [1.0, -2.0, 0.5, 3.0]
+    assert m.b.tolist() == [0.25, 1.0, -1.0, 2.0]
+    assert spectrum(m) == before
 
 
 def test_lemma1_gap_boundary_cases_vanish():

@@ -1,6 +1,7 @@
 """Validation layer: array coercion, orthogonality checks, invariant scalars."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +73,11 @@ def test_orthogonality_defect_identity_is_zero():
     assert orthogonality_defect(np.eye(4)) == 0.0
 
 
+def test_orthogonality_defect_equals_the_direct_expression():
+    q = random_orthogonal(6, 8).matrix + 1e-7 * standard_gaussian(make_rng(8), 36).reshape(6, 6)
+    assert orthogonality_defect(q) == float(np.abs(q.T @ q - np.eye(6)).max())
+
+
 def test_instance_rejects_length_mismatch():
     with pytest.raises(ValueError):
         OrthogonalPlusRankOne(None, np.ones(3), np.ones(4))
@@ -97,6 +103,17 @@ def test_q_transpose_a_applies_transpose():
     q = validate_orthogonal([[0.0, 1.0], [1.0, 0.0]])
     m = OrthogonalPlusRankOne(q, [1.0, 2.0], [1.0, 0.0])
     assert m.q_transpose_a().tolist() == [2.0, 1.0]
+
+
+def test_instance_vectors_are_read_only():
+    q = random_orthogonal(3, 2)
+    m = OrthogonalPlusRankOne(q, [1.0, 2.0, 3.0], [0.5, 0.0, -1.0])
+    for arr in (m.a, m.b, m.q_transpose_a()):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # stored at construction, not recomputed per call
+    assert m.q_transpose_a() is m.q_transpose_a()
 
 
 def test_invariant_scalars_axis_case():
@@ -128,6 +145,22 @@ def test_invariant_scalars_match_loop_oracle():
 def test_materialize_identity_update():
     m = identity_plus_outer([1.0, 0.0], [0.0, 2.0])
     assert np.array_equal(materialize(m), np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+def test_materialize_and_defect_allocate_one_matrix():
+    # each holds one n x n array at a time: no copy of Q, no outer temporary,
+    # no identity matrix
+    n = 256
+    q = random_orthogonal(n, 5)
+    m = OrthogonalPlusRankOne(q, np.ones(n), np.full(n, 0.5))
+    for call in (lambda: materialize(m), lambda: orthogonality_defect(q.matrix)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * n * n * 8  # a second n x n array would make it 2
 
 
 def test_materialize_adds_outer_to_q():

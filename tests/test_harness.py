@@ -93,6 +93,18 @@ def test_run_verify_singular_mode_under_oracle():
     assert report.oracle_trials == 12
 
 
+def test_run_verify_near_parallel_at_branch_boundary():
+    # tilt 1e-12 straddles PARALLEL_TOL: both branches occur, and the unit
+    # columns of U must stay orthonormal on either side
+    report = run_verify(
+        CampaignConfig(trials=200, dims=(16,), vector_mode="near_parallel", epsilon=1e-12)
+    )
+    assert report.failures == []
+    assert report.max_orthonormality_defect <= 1e-12
+    assert report.branch_counts["parallel"] > 0
+    assert report.branch_counts["non_parallel"] > 0
+
+
 def test_run_verify_identity_mode_reports_rank_revelation():
     report = run_verify(small_config(q_mode="identity", trials=4, oracle_cutoff=0))
     assert report.failures == []
@@ -125,14 +137,21 @@ def test_run_lemma1_rejects_bad_trials():
 
 def test_run_bench_rows_and_speedups():
     rows = run_bench(dims=(6,), trials=5, seed=1)
-    assert {r.method for r in rows} == {"spectrum", "full_svd", "jacobi"}
+    assert {r.method for r in rows} == {"spectrum", "full_svd", "lapack_svd", "jacobi"}
     assert all(r.trials == 5 and r.median_ns > 0 for r in rows)
     csv_text = bench_csv(rows)
     assert csv_text.startswith(BENCH_CSV_HEADER)
-    assert len(csv_text.strip().splitlines()) == 4
+    assert len(csv_text.strip().splitlines()) == 5
     ratios = bench_speedups(rows)
     assert set(ratios) == {6}
     assert ratios[6] > 0.0
+
+
+def test_full_svd_beats_lapack_at_256():
+    # O(n^2) plus one matmul against the O(n^3) dense SVD with vectors
+    rows = run_bench(dims=(256,), trials=5, seed=2, agreement_checks=1)
+    median = {r.method: r.median_ns for r in rows}
+    assert median["full_svd"] < median["lapack_svd"]
 
 
 def test_run_bench_validates_args():

@@ -108,6 +108,22 @@ def test_standard_gaussian_deterministic_and_finite():
     assert np.isfinite(z1).all()
 
 
+def test_standard_gaussian_is_textbook_box_muller_bit_for_bit():
+    # the in-place evaluation must not change a single sampled bit
+    for count in (1, 8, 9, 1001):
+        rng = make_rng((17, count))
+        half = (count + 1) // 2
+        u1 = 1.0 - rng.random(half)
+        u2 = rng.random(half)
+        radius = np.sqrt(-2.0 * np.log(u1))
+        angle = (2.0 * math.pi) * u2
+        want = np.empty(2 * half)
+        want[0::2] = radius * np.cos(angle)
+        want[1::2] = radius * np.sin(angle)
+        got = standard_gaussian(make_rng((17, count)), count)
+        assert np.array_equal(got.view(np.int64), want[:count].view(np.int64))
+
+
 def test_standard_gaussian_moments():
     z = standard_gaussian(make_rng(123), 200_000)
     assert abs(float(z.mean())) <= 0.01
